@@ -49,21 +49,24 @@ NPROC = len(os.sched_getaffinity(0))
 # another), which would swamp every bound. --seed drives the arrival order,
 # the request mix order, the mutation stream and the ladder sample.
 DATA_SEED = 2008
-SETUPS = 3            # server launches per run; setup_s is their median
+# Server launches per run; setup_s is their median. Set-up is single-threaded
+# CPU work, and launches within one run varied by up to 40% with the host's
+# load: over ten seeds the median of three spread up to 0.30, the median of
+# nine up to 0.22.
+SETUPS = 9
 WAL_SYNC_MS = 5       # churn's group-commit window
 COMPACT_THRESHOLD = 100
-# Top-k arrivals per second. At 20/s, the waits behind k = 10^4 requests
-# compounded into the tail: its spread over ten seeds was 0.11 in one
-# window and 0.24 in another. At 10/s it was 0.04.
-TOPK_RATE = 10.0
-LARGE_SHARE = 0.1     # share of top-k requests with k = LARGE_LIMIT
-LARGE_LIMIT = 10000
-CHURN_READ_RATE = 10.0
+# Share of top-k requests with k = 10^4 (kLargeLimit in src/workload.h).
+# Top-k requests arrive at 10/s (kTopkRate).
+LARGE_SHARE = 0.1
+# A top-k query counts toward goodput within 50 ms. Small-k queries end on
+# the server's 20 ms completion ticks (about 21, 42, 63 ms); 50 ms lies
+# between the second and third, so it counts the queries that waited at most
+# one extra tick and drops those held behind a k = 10^4 query.
+TOPK_LATENCY_LIMIT_MS = 50.0
 LADDER_SAMPLE = 24
 MAX_LATE_MS = 20.0    # the generator fails the run beyond this lateness
 MAX_CLIENT_CPU_SHARE = 0.5
-
-TOPK_LIMITS = [1, 10, 25, 50, 100]
 
 
 # Every workload serves the paper's ring-constrained join (OBJ, the paper's
@@ -81,7 +84,6 @@ WORKLOADS = {
         "envs": [("default", "pp.csv", "sc.csv")],
         "storage": "mmap",
         "mode": "closed",
-        "limits": [0],
         "large_share": 0.0,
         "latency_limit_ms": 30000.0,
     },
@@ -94,14 +96,16 @@ WORKLOADS = {
                   "gq.csv": ("gaussian", 100000), "gp.csv": ("gaussian", 100000),
                   "ppq.csv": ("pp", 100000), "scp.csv": ("sc", 100000),
                   "lo.csv": ("lo", 100000)},
-        "envs": [("default", "uq.csv", "up.csv"), ("gauss", "gq.csv", "gp.csv"),
-                 ("ppsc", "ppq.csv", "scp.csv"), ("lo", "lo.csv", None)],
+        # StableHash(name) % 2 places default and ppsc on shard 0 (and on
+        # the fleet's backend 0), gaussian and lo_self on shard 1.
+        "envs": [("default", "uq.csv", "up.csv"),
+                 ("gaussian", "gq.csv", "gp.csv"),
+                 ("ppsc", "ppq.csv", "scp.csv"), ("lo_self", "lo.csv", None)],
         "storage": "mem",
         "mode": "open",
         "shards": 2,
-        "limits": TOPK_LIMITS,
         "large_share": LARGE_SHARE,
-        "latency_limit_ms": 1000.0,
+        "latency_limit_ms": TOPK_LATENCY_LIMIT_MS,
     },
     # Writes beside reads: a journaled live environment takes a closed-loop
     # INSERT/DELETE stream on one batch connection (background compactions
@@ -116,7 +120,6 @@ WORKLOADS = {
         "envs": [("default", "uq.csv", "up.csv")],
         "storage": "mem",
         "mode": "churn",
-        "limits": TOPK_LIMITS,
         "large_share": 0.0,
         "latency_limit_ms": 250.0,
     },
@@ -130,9 +133,8 @@ WORKLOADS = {
         "storage": "mem",
         "mode": "open",
         "fleet": True,
-        "limits": TOPK_LIMITS,
         "large_share": LARGE_SHARE,
-        "latency_limit_ms": 1000.0,
+        "latency_limit_ms": TOPK_LATENCY_LIMIT_MS,
     },
 }
 WORKLOADS["fleet_topk"]["files"] = WORKLOADS["topk_serve"]["files"]
@@ -413,23 +415,20 @@ class Run:
                 "--seed", str(self.seed), "--trace", "1" if trace else "0",
                 "--out", out]
         if w["mode"] == "closed":
-            args += ["--mode", "closed", "--envs", "default", "--warmup", "1",
+            args += ["--mode", "closed", "--envs", "default",
                      "--timeout-ms", "60000"]
         else:
             envs = ",".join(e[0] for e in w["envs"])
             args += ["--mode", w["mode"], "--envs", envs,
                      "--timeout-ms", "20000"]
-            args += ["--limits", ",".join(map(str, w["limits"])),
-                     "--large-limit", str(LARGE_LIMIT),
-                     "--large-share", str(w["large_share"])]
+            args += ["--large-share", str(w["large_share"])]
             if w["mode"] == "churn":
-                args += ["--rate", str(CHURN_READ_RATE),
-                         "--conns", str(max(1, min(3, NPROC - 1))),
+                args += ["--conns", str(max(1, min(3, NPROC - 1))),
                          "--mut-seed", str(self.seed),
                          "--mut-q", self.path(w["envs"][0][1]),
                          "--mut-p", self.path(w["envs"][0][2])]
             else:
-                args += ["--rate", str(TOPK_RATE), "--conns", str(NPROC)]
+                args += ["--conns", str(NPROC)]
         run_tool(args)
         return read_records(out)
 
@@ -443,10 +442,9 @@ class Run:
                    if r["kind"] == "query" and not r["warmup"]]
         muts = [r for r in records if r["kind"] == "mut"]
         summary = [r for r in records if r["kind"] == "summary"][0]
-        snapshot_reads = self.w["mode"] == "churn"
         for r in queries:
             self.attempted += 1
-            why = benchlib.check_query(r, None if snapshot_reads else reference)
+            why = benchlib.check_query(r, reference)
             if why:
                 self.fail("query %d (%s limit=%d): %s"
                           % (r["i"], r["env"], r["limit"], why))
@@ -671,7 +669,9 @@ class Run:
         qfile = self.path("ladder-queries.txt")
         with open(qfile, "w") as f:
             f.writelines("%s %d\n" % q for q in sample)
-        args = ["ladder", "--queries", qfile, "--threads", str(NPROC),
+        # The same engine threads as the server, so each layer's time
+        # belongs to the program as served.
+        args = ["ladder", "--queries", qfile, "--threads", str(self.threads()),
                 "--shards", str(self.w.get("shards", 1)),
                 "--out", self.path("ladder.json")] + self.env_args()
         args += self.storage_args()
@@ -697,13 +697,15 @@ class Run:
                  for f, (k, n, s) in sorted(self.files.items())]
         run_tool(["gen", "--dir", self.work] +
                  [a for f in files for a in ("--file", f)])
-        ref_path = self.path("ref.json")
-        limits = self.w["limits"] + ([LARGE_LIMIT] if self.w["large_share"]
-                                     else [])
-        run_tool(["ref", "--limits", ",".join(map(str, limits)),
-                  "--out", ref_path] + self.env_args())
-        with open(ref_path) as f:
-            reference = json.load(f)
+        # Churn's snapshot reads pinned epochs a client cannot observe, so
+        # they are checked for framing only (reference None).
+        reference = None
+        if self.w["mode"] != "churn":
+            ref_path = self.path("ref.json")
+            run_tool(["ref", "--full", "1" if self.w["mode"] == "closed"
+                      else "0", "--out", ref_path] + self.env_args())
+            with open(ref_path) as f:
+                reference = json.load(f)
 
         setups = []
         server = None

@@ -271,29 +271,40 @@ bool Ladder(const LadderOptions& o) {
     }
   };
 
-  // core: the serial runner, with and without the verification step.
+  // core: the serial runner, with and without the verification step. The
+  // two alternate twice and each keeps its faster time, so a slow spell of
+  // the host cannot make verification look free or negative.
   std::vector<rcj::RcjPair> kept;
   for (Sample& s : samples) {
     rcj::RcjEnvironment* env = envs[s.env].get();
-    DigestSink sink;
-    sink.keep = &kept;
-    sink.keep_max = 4096;
-    Clock::time_point t0 = Clock::now();
-    rcj::Status st = env->Run(Spec(env, s.limit), &sink, &s.serial);
-    s.core_ms = MsSince(t0);
-    if (!st.ok()) return Fail("ladder core", st);
-    s.ref = sink.digest;
-    DigestSink filter_sink;
-    rcj::JoinStats filter_stats;
-    t0 = Clock::now();
-    st = env->Run(Spec(env, s.limit, false), &filter_sink, &filter_stats);
-    s.filter_ms = MsSince(t0);
-    if (!st.ok()) return Fail("ladder filter", st);
+    for (int round = 0; round < 2; ++round) {
+      DigestSink sink;
+      if (round == 0) {
+        sink.keep = &kept;
+        sink.keep_max = 4096;
+      }
+      Clock::time_point t0 = Clock::now();
+      rcj::Status st = env->Run(Spec(env, s.limit), &sink, &s.serial);
+      const double core_ms = MsSince(t0);
+      if (!st.ok()) return Fail("ladder core", st);
+      s.ref = sink.digest;
+      DigestSink filter_sink;
+      rcj::JoinStats filter_stats;
+      t0 = Clock::now();
+      st = env->Run(Spec(env, s.limit, false), &filter_sink, &filter_stats);
+      const double filter_ms = MsSince(t0);
+      if (!st.ok()) return Fail("ladder filter", st);
+      s.core_ms = round == 0 ? core_ms : std::min(s.core_ms, core_ms);
+      s.filter_ms = round == 0 ? filter_ms : std::min(s.filter_ms, filter_ms);
+    }
   }
+  // Engine and service run with the threads of one server shard, the same
+  // engine the shard router builds below.
+  const size_t shard_threads = std::max<size_t>(1, o.threads / o.shards);
   // engine: one parallel engine, as a server shard owns it.
   {
     rcj::EngineOptions eo;
-    eo.num_threads = o.threads;
+    eo.num_threads = shard_threads;
     eo.worker_buffer_fraction = o.build.buffer_fraction;
     rcj::Engine engine(eo);
     for (Sample& s : samples) {
@@ -309,7 +320,7 @@ bool Ladder(const LadderOptions& o) {
   // service: Submit -> Wait through the async front end.
   {
     rcj::ServiceOptions so;
-    so.engine.num_threads = o.threads;
+    so.engine.num_threads = shard_threads;
     so.engine.worker_buffer_fraction = o.build.buffer_fraction;
     rcj::Service service(so);
     for (Sample& s : samples) {
@@ -327,7 +338,7 @@ bool Ladder(const LadderOptions& o) {
   {
     rcj::ShardRouterOptions ro;
     ro.num_shards = o.shards;
-    ro.service.engine.num_threads = std::max<size_t>(1, o.threads / o.shards);
+    ro.service.engine.num_threads = shard_threads;
     ro.service.engine.worker_buffer_fraction = o.build.buffer_fraction;
     rcj::ShardRouter router(ro);
     for (const auto& [name, env] : envs) {

@@ -372,22 +372,20 @@ int RunLoad(const LoadOptions& o) {
                std::chrono::duration<double>(o.seconds));
   if (o.mode == "closed") {
     const std::string& env = o.envs.front();
+    const size_t warmups = o.max_queries == 0 ? 1 : 0;
     for (size_t i = 0;; ++i) {
-      const bool warmup = i < o.warmup;
-      if (!warmup && o.max_queries != 0 && i - o.warmup >= o.max_queries) {
-        break;
-      }
+      const bool warmup = i < warmups;
+      if (!warmup && o.max_queries != 0 && i >= o.max_queries) break;
       if (!warmup && o.max_queries == 0 && Clock::now() >= stop) break;
       const QueryOutcome q =
-          RunQuery(o.port, QueryLine(env, o.limit, o.trace, "b" + std::to_string(i)),
+          RunQuery(o.port, QueryLine(env, 0, o.trace, "b" + std::to_string(i)),
                    o.trace, t0, o.timeout_ms);
-      log.Add(QueryRecord(i, env, o.limit, q.send_s, 0.0, warmup, q));
+      log.Add(QueryRecord(i, env, 0, q.send_s, 0.0, warmup, q));
       if (q.status != "ok") break;
     }
   } else {
     const std::vector<TopkRequest> schedule =
-        MakeTopkSchedule(o.seed, o.rate, o.seconds, o.envs.size(), o.limits,
-                         o.large_limit, o.large_share);
+        MakeTopkSchedule(o.seed, o.seconds, o.envs.size(), o.large_share);
     std::thread mutations;
     if (o.mode == "churn") {
       mutations = std::thread([&] { MutationLoop(o, t0, stop, &log); });

@@ -17,15 +17,11 @@ struct LoadOptions {
   bool trace = false;
   int timeout_ms = 30000;
   std::string out;
-  // closed loop: sequential queries on envs[0]
-  uint64_t limit = 0;
-  size_t warmup = 0;
+  // closed loop: sequential full joins on envs[0]; a timed loop starts with
+  // one untimed warm-up join
   size_t max_queries = 0;  ///< 0 = until `seconds` elapsed
-  // open loop (open, churn)
-  double rate = 10.0;
+  // open loop (open, churn), at kTopkRate requests per second
   size_t conns = 1;
-  std::vector<uint64_t> limits{1};
-  uint64_t large_limit = 0;
   double large_share = 0.0;
   // churn: the mutation stream's seed and its base environment's ids
   uint64_t mut_seed = 1;

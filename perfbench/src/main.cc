@@ -1,7 +1,7 @@
 // rcjbench: the native half of the end-to-end benchmark (run.py drives it).
 //
 //   rcjbench gen    --dir D --file NAME=KIND:N:SEED ...
-//   rcjbench ref    --env NAME=Q.csv:P.csv|self ... --limits K,K,...
+//   rcjbench ref    --env NAME=Q.csv:P.csv|self ... --full 0|1
 //                   [--storage mem|file --storage-dir D] --out F
 //   rcjbench replay --env NAME=Q.csv:P.csv --mut-seed S --acked N --out F
 //   rcjbench ladder --env ... --queries F --threads T --shards S
@@ -10,9 +10,8 @@
 //                   --mut-count N] --out F
 //   rcjbench load   --mode closed|open|churn --port P --envs a,b,...
 //                   --seconds S --seed N [--trace 0|1] [--timeout-ms MS]
-//                   [--limit K --warmup W --max-queries M]
-//                   [--rate R --conns C --limits K,K,...
-//                    --large-limit K --large-share F]
+//                   [--max-queries M]
+//                   [--conns C --large-share F]
 //                   [--mut-seed S --mut-q Q.csv --mut-p P.csv] --out F
 #include <cstdio>
 #include <cstdlib>
@@ -102,9 +101,11 @@ int Main(int argc, char** argv) {
   std::vector<perfbench::EnvSpec> envs;
   if (!Envs(f, "env", &envs)) return 2;
   if (cmd == "ref") {
-    std::vector<uint64_t> limits;
-    for (const std::string& k : Split(Get(f, "limits", "0"))) {
-      limits.push_back(std::stoull(k));
+    // The full join, or every limit an open-loop schedule sends.
+    std::vector<uint64_t> limits{0};
+    if (Get(f, "full", "0") != "1") {
+      limits = perfbench::kSmallLimits;
+      limits.push_back(perfbench::kLargeLimit);
     }
     return perfbench::Reference(envs, BuildOptions(f), limits, out) ? 0 : 1;
   }
@@ -145,22 +146,13 @@ int Main(int argc, char** argv) {
     o.trace = Get(f, "trace", "0") == "1";
     o.timeout_ms = std::stoi(Get(f, "timeout-ms", "30000"));
     o.out = out;
-    o.limit = std::stoull(Get(f, "limit", "0"));
-    o.warmup = std::stoull(Get(f, "warmup", "0"));
     o.max_queries = std::stoull(Get(f, "max-queries", "0"));
-    o.rate = std::stod(Get(f, "rate", "10"));
     o.conns = std::stoull(Get(f, "conns", "1"));
-    o.limits.clear();
-    for (const std::string& k : Split(Get(f, "limits", "1"))) {
-      o.limits.push_back(std::stoull(k));
-    }
-    o.large_limit = std::stoull(Get(f, "large-limit", "0"));
     o.large_share = std::stod(Get(f, "large-share", "0"));
     o.mut_seed = std::stoull(Get(f, "mut-seed", "1"));
     o.mut_q_csv = Get(f, "mut-q");
     o.mut_p_csv = Get(f, "mut-p");
-    if (o.port == 0 || o.out.empty() || o.envs.empty() || o.conns == 0 ||
-        o.limits.empty()) {
+    if (o.port == 0 || o.out.empty() || o.envs.empty() || o.conns == 0) {
       std::fprintf(stderr, "load: --port, --out and --envs are required\n");
       return 2;
     }

@@ -87,19 +87,17 @@ bool ParseEnvSpec(const std::string& text, EnvSpec* out) {
   return !out->name.empty() && !out->q_csv.empty();
 }
 
-std::vector<TopkRequest> MakeTopkSchedule(
-    uint64_t seed, double rate, double seconds, size_t num_envs,
-    const std::vector<uint64_t>& small_limits, uint64_t large_limit,
-    double large_share) {
+std::vector<TopkRequest> MakeTopkSchedule(uint64_t seed, double seconds,
+                                          size_t num_envs, double large_share) {
   // Balanced mix: every block of num_envs requests visits each environment
   // once, every block of small requests uses each small limit once, and
   // the large requests rotate over the environments the same way. The seed
   // only shuffles the order inside blocks and slices, so every seed offers
   // the same composition.
   uint64_t state = SplitMix64(seed ^ 0x70706b5f73636864ULL);
-  const size_t n = static_cast<size_t>(rate * seconds);
+  const size_t n = static_cast<size_t>(kTopkRate * seconds);
   const std::vector<size_t> env = Balanced(n, num_envs, &state);
-  const std::vector<size_t> small = Balanced(n, small_limits.size(), &state);
+  const std::vector<size_t> small = Balanced(n, kSmallLimits.size(), &state);
   // The large count is a multiple of num_envs, so every environment gets
   // the same number of large requests; one lands in each equal slice of
   // the schedule.
@@ -117,13 +115,13 @@ std::vector<TopkRequest> MakeTopkSchedule(
   std::vector<TopkRequest> schedule(n);
   for (size_t i = 0, j = 0, k = 0; i < n; ++i) {
     TopkRequest& r = schedule[i];
-    r.due_s = static_cast<double>(i) / rate;
+    r.due_s = static_cast<double>(i) / kTopkRate;
     if (large[i]) {
       r.env = large_env[j++];
-      r.limit = large_limit;
+      r.limit = kLargeLimit;
     } else {
       r.env = env[i];
-      r.limit = small_limits[small[k++]];
+      r.limit = kSmallLimits[small[k++]];
     }
   }
   return schedule;

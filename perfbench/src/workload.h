@@ -58,14 +58,22 @@ struct TopkRequest {
   uint64_t limit = 0;
 };
 
-/// Fixed-interval arrivals at `rate` per second for `seconds`: the small
-/// limits in rotation plus a `large_share` minority of `large_limit`, spread
+/// Top-k arrivals per second of every open-loop schedule. At 20/s the waits
+/// behind kLargeLimit requests compounded into every CPU-bound number.
+constexpr double kTopkRate = 10.0;
+
+/// The limits an open-loop schedule rotates through.
+inline const std::vector<uint64_t> kSmallLimits{1, 10, 25, 50, 100};
+
+/// The limit of an open-loop schedule's large minority.
+constexpr uint64_t kLargeLimit = 10000;
+
+/// Fixed-interval arrivals at kTopkRate per second for `seconds`: the small
+/// limits in rotation plus a `large_share` minority of kLargeLimit, spread
 /// evenly over the environments. The seed shuffles the order, not the
 /// composition.
-std::vector<TopkRequest> MakeTopkSchedule(
-    uint64_t seed, double rate, double seconds, size_t num_envs,
-    const std::vector<uint64_t>& small_limits, uint64_t large_limit,
-    double large_share);
+std::vector<TopkRequest> MakeTopkSchedule(uint64_t seed, double seconds,
+                                          size_t num_envs, double large_share);
 
 /// The QUERY line the load generator sends for one request.
 std::string QueryLine(const std::string& env, uint64_t limit, bool trace,

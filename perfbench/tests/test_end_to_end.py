@@ -125,7 +125,7 @@ class CorrectnessCheckTest(Fixture):
     def test_perturbed_pair_line_fails_the_check(self):
         ref_path = os.path.join(self.work, "ref.json")
         run.run_tool(["ref", "--env", "default=%s:%s" % (self.q, self.p),
-                      "--limits", "0", "--out", ref_path])
+                      "--full", "1", "--out", ref_path])
         with open(ref_path) as f:
             reference = json.load(f)
         server = self.serve()
@@ -157,7 +157,7 @@ class CorrectnessCheckTest(Fixture):
 
         proxy = self.proxy(server.port, drop_mut)
         records = self.load(proxy.port, "--mode", "churn", "--seconds", "1",
-                            "--rate", "1", "--conns", "1",
+                            "--conns", "1",
                             "--timeout-ms", "500", "--mut-seed", "3",
                             "--mut-q", self.q, "--mut-p", self.p)
         failures, acked = benchlib.check_mutations(
